@@ -27,9 +27,11 @@ per-SCC with the fingerprints of everything the SCC depends on --
 callees, override partners and the class structures whose invariants it
 expands.  Two programs agreeing on an SCC's *transitive* fingerprint
 are guaranteed to present identical inference inputs for that SCC, so
-:func:`diff` can mark exactly the SCCs whose fingerprint changed as
-dirty and :meth:`repro.core.infer.RegionInference.reinfer` splices the
-rest from a prior result.
+only the SCCs whose fingerprint changed are dirty and
+:func:`repro.core.infer.reinfer_program` splices the rest from a prior
+result.  An edit computes the dirty set with :func:`diff_keys` from the
+prior result's per-SCC keys and the new graph's, so it builds no graph
+for the prior program; :func:`diff` derives the same set from two graphs.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ __all__ = [
     "FootprintSet",
     "SccFootprints",
     "diff",
+    "diff_keys",
     "method_fingerprint",
     "class_fingerprint",
+    "class_shape_digest",
 ]
 
 
@@ -75,36 +79,58 @@ __all__ = [
 _SKIP_FIELDS = frozenset({"pos", "label"})
 
 
-def _feed(h, obj) -> None:
-    """Feed a canonical byte encoding of an AST value into hash ``h``."""
+def _encoding(cls: type) -> Tuple[bytes, Tuple[Tuple[bytes, str], ...]]:
+    """A dataclass's opening tag and ``(field tag, attribute)`` pairs."""
+    return (
+        b"\x00<" + cls.__name__.encode("ascii"),
+        tuple(
+            (b"\x00." + f.name.encode("ascii"), f.name)
+            for f in dc_fields(cls)
+            if f.name not in _SKIP_FIELDS
+        ),
+    )
+
+
+#: the encoding of every AST dataclass, built once at import so hashing
+#: a node costs no reflection
+_ENCODINGS = {
+    cls: _encoding(cls)
+    for cls in vars(S).values()
+    if isinstance(cls, type) and is_dataclass(cls)
+}
+
+
+def _feed(out: List[bytes], obj) -> None:
+    """Append a canonical byte encoding of an AST value to ``out``."""
+    enc = _ENCODINGS.get(type(obj))
+    if enc is None:
+        if isinstance(obj, (list, tuple)):
+            out.append(b"\x00[")
+            for x in obj:
+                _feed(out, x)
+            out.append(b"\x00]")
+        else:
+            out.append(_leaf(obj))
+        return
+    tag, attrs = enc
+    append = out.append
+    append(tag)
+    for field_tag, name in attrs:
+        append(field_tag)
+        _feed(out, getattr(obj, name))
+    append(b"\x00>")
+
+
+def _leaf(obj) -> bytes:
+    if isinstance(obj, str):
+        return b"\x00s" + obj.encode("utf-8")
     if obj is None:
-        h.update(b"\x00N")
-    elif isinstance(obj, bool):
-        h.update(b"\x00T" if obj else b"\x00F")
-    elif isinstance(obj, str):
-        h.update(b"\x00s")
-        h.update(obj.encode("utf-8"))
-    elif isinstance(obj, int):
-        h.update(b"\x00i")
-        h.update(str(obj).encode("ascii"))
-    elif isinstance(obj, (list, tuple)):
-        h.update(b"\x00[")
-        for x in obj:
-            _feed(h, x)
-        h.update(b"\x00]")
-    elif is_dataclass(obj):
-        h.update(b"\x00<")
-        h.update(type(obj).__name__.encode("ascii"))
-        for f in dc_fields(obj):
-            if f.name in _SKIP_FIELDS:
-                continue
-            h.update(b"\x00.")
-            h.update(f.name.encode("ascii"))
-            _feed(h, getattr(obj, f.name))
-        h.update(b"\x00>")
-    else:  # pragma: no cover - defensive (no other value kinds in the AST)
-        h.update(b"\x00?")
-        h.update(repr(obj).encode("utf-8"))
+        return b"\x00N"
+    if isinstance(obj, bool):
+        return b"\x00T" if obj else b"\x00F"
+    if isinstance(obj, int):
+        return b"\x00i" + str(obj).encode("ascii")
+    return b"\x00?" + repr(obj).encode("utf-8")  # pragma: no cover
 
 
 def method_fingerprint(decl: S.MethodDecl) -> str:
@@ -113,9 +139,9 @@ def method_fingerprint(decl: S.MethodDecl) -> str:
     Independent of source formatting, positions and ``New`` labels; two
     textually different but structurally identical declarations agree.
     """
-    h = hashlib.sha256()
-    _feed(h, decl)
-    return h.hexdigest()
+    out: List[bytes] = []
+    _feed(out, decl)
+    return hashlib.sha256(b"".join(out)).hexdigest()
 
 
 def class_fingerprint(decl: S.ClassDecl) -> str:
@@ -126,13 +152,30 @@ def class_fingerprint(decl: S.ClassDecl) -> str:
     types, recursive region), so any change here invalidates the whole
     annotation universe (:func:`diff` then reports ``full=True``).
     """
-    h = hashlib.sha256()
-    h.update(b"\x00C")
-    h.update(decl.name.encode("utf-8"))
-    h.update(b"\x00<")
-    h.update(decl.super_name.encode("utf-8"))
+    out = [
+        b"\x00C",
+        decl.name.encode("utf-8"),
+        b"\x00<",
+        decl.super_name.encode("utf-8"),
+    ]
     for f in decl.fields:
-        _feed(h, f)
+        _feed(out, f)
+    return hashlib.sha256(b"".join(out)).hexdigest()
+
+
+def class_shape_digest(table: ClassTable) -> str:
+    """One hash over every declared class's shape, in declaration order.
+
+    Two programs with equal digests share their class annotations (region
+    arity, field types, recursive regions); any difference -- a changed
+    field, supertype, or class order -- forces a full rebuild.
+    """
+    h = hashlib.sha256()
+    for cn in table.class_names():
+        h.update(cn.encode("utf-8"))
+        h.update(b"\x00=")
+        h.update(class_fingerprint(table.decl(cn)).encode("ascii"))
+        h.update(b"\x00,")
     return h.hexdigest()
 
 
@@ -164,6 +207,8 @@ class DependencyGraph:
         self.edges: Dict[Node, Set[Node]] = {}
         self._methods: Dict[str, S.MethodDecl] = {}
         self._build()
+        #: :meth:`sccs`, computed once: the graph is fixed after construction
+        self.components: List[List[Node]] = self.sccs()
 
     # -- building ----------------------------------------------------------------
     def _add_edge(self, a: Node, b: Node) -> None:
@@ -383,7 +428,7 @@ class DependencyGraph:
     def method_sccs(self) -> List[List[str]]:
         """The method groups (qualified names) in processing order."""
         groups: List[List[str]] = []
-        for scc in self.sccs():
+        for scc in self.components:
             methods = [n.name for n in scc if n.kind == "method"]
             if methods:
                 groups.append(sorted(methods))
@@ -422,7 +467,7 @@ class DependencyGraph:
         the node sees identical inference inputs, which is the soundness
         condition for splicing its prior result.
         """
-        sccs = self.sccs()
+        sccs = self.components
         scc_of: Dict[Node, int] = {}
         for i, scc in enumerate(sccs):
             for n in scc:
@@ -450,26 +495,6 @@ class DependencyGraph:
             for n in scc:
                 out[n] = digest
         return out
-
-    def scc_fingerprints(
-        self, salts: Optional[Mapping[str, str]] = None
-    ) -> List[Tuple[Tuple[str, ...], str]]:
-        """``(sorted method names, transitive fingerprint)`` per method SCC,
-        in processing (dependencies-first) order."""
-        node_fps = self.node_fingerprints(salts)
-        groups: List[Tuple[Tuple[str, ...], str]] = []
-        for scc in self.sccs():
-            methods = sorted(n.name for n in scc if n.kind == "method")
-            if methods:
-                groups.append((tuple(methods), node_fps[scc[0]]))
-        return groups
-
-    def class_fingerprints(self) -> Dict[str, str]:
-        """Local (shape-only) fingerprint per declared class."""
-        return {
-            cn: class_fingerprint(self.table.decl(cn))
-            for cn in self.table.class_names()
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +558,7 @@ class SccFootprints:
     """
 
     def __init__(self, graph: DependencyGraph):
-        sccs = graph.sccs()
+        sccs = graph.components
         names: List[str] = []
         bit_of: Dict[str, int] = {}
         node_bit: Dict[Node, int] = {}
@@ -650,9 +675,7 @@ def diff(
     may strengthen.  ``diff`` closes that gap here by dirtying every
     method whose owner's ``classinv`` transitive fingerprint changed.
     """
-    if list(old.class_fingerprints().items()) != list(
-        new.class_fingerprints().items()
-    ):
+    if class_shape_digest(old.table) != class_shape_digest(new.table):
         return DirtySet(full=True, reason="class structure changed")
 
     old_fps = old.node_fingerprints(old_salts)
@@ -679,6 +702,37 @@ def diff(
         for names in new.method_sccs():
             if any(qn in dirty for qn in names):
                 dirty.update(names)
+    return DirtySet(
+        full=False,
+        reason="method edits" if dirty else "",
+        methods=frozenset(dirty),
+        added=frozenset(new_methods - old_methods),
+        removed=frozenset(old_methods - new_methods),
+    )
+
+
+def diff_keys(
+    old_keys: Mapping[Tuple[str, ...], str],
+    new_keys: Mapping[Tuple[str, ...], str],
+) -> DirtySet:
+    """The dirty set from per-SCC splice keys alone, with no prior graph.
+
+    Both maps take a method SCC (its sorted member names) to its splice
+    key (:func:`repro.core.infer.scc_splice_keys`).  An SCC is clean iff
+    the old side holds the same member tuple under the same key.  That is
+    the set :func:`diff` derives from two graphs: the key folds in the
+    SCC's transitive fingerprint, which hashes every member's name and
+    owner, and its members' owner-invariant fingerprints, which are the
+    two things ``diff`` checks.  Class shapes are outside the keys, so
+    callers compare :func:`class_shape_digest` first.
+    """
+    dirty: Set[str] = set()
+    new_methods: Set[str] = set()
+    for methods, key in new_keys.items():
+        new_methods.update(methods)
+        if old_keys.get(methods) != key:
+            dirty.update(methods)
+    old_methods = {qn for methods in old_keys for qn in methods}
     return DirtySet(
         full=False,
         reason="method edits" if dirty else "",

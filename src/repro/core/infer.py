@@ -63,8 +63,9 @@ from .depgraph import (
     DependencyGraph,
     DirtySet,
     SccFootprints,
+    class_shape_digest,
     classinv_node,
-    diff as depgraph_diff,
+    diff_keys,
 )
 from .downcast import DowncastAnalysis, DowncastStrategy, PaddingPlan
 from .override import OverrideResolver
@@ -222,8 +223,11 @@ class InferenceResult:
     reused_methods: Tuple[str, ...] = ()
     #: splice-cache key per method SCC (see :func:`scc_splice_keys`) --
     #: what a second-level session cache indexes :class:`SccSplice`
-    #: entries by
+    #: entries by, and what the next edit's dirty set is derived from
     scc_keys: Dict[Tuple[str, ...], str] = dc_field(default_factory=dict)
+    #: :func:`repro.core.depgraph.class_shape_digest` of the program --
+    #: an edit with a different digest re-infers from scratch
+    class_digest: str = ""
 
     @property
     def total_localized(self) -> int:
@@ -372,7 +376,7 @@ def scc_splice_keys(
     """
     node_fps = graph.node_fingerprints(salts)
     out: Dict[Tuple[str, ...], str] = {}
-    for scc in graph.sccs():
+    for scc in graph.components:
         methods = tuple(sorted(n.name for n in scc if n.kind == "method"))
         if not methods:
             continue
@@ -536,6 +540,7 @@ class RegionInference:
         # frozen base mapping *is* the snapshot (aliased, not copied)
         result.pristine_q = self.q.snapshot_base()
         result.plan_salts = plan_salts(self.program, self.plan)
+        result.class_digest = class_shape_digest(self.table)
         graph = DependencyGraph(self.program, self.table)
         result.scc_keys = scc_splice_keys(graph, result.plan_salts)
         if self.config.footprint_scope:
@@ -1358,7 +1363,8 @@ class _IncrementalInference(RegionInference):
     configs match, the class structure is unchanged (so the prior class
     annotations are adopted wholesale -- re-annotating would mint new
     region uids and orphan the spliced schemes), and ``dirty`` came from
-    :func:`repro.core.depgraph.diff` over transitive fingerprints.
+    :func:`repro.core.depgraph.diff_keys` over the prior's and
+    ``scc_keys``' splice keys.
 
     Replay discipline for byte-identity with a from-scratch run:
 
@@ -1389,6 +1395,7 @@ class _IncrementalInference(RegionInference):
         graph: DependencyGraph,
         plan: PaddingPlan,
         salts: Dict[str, str],
+        scc_keys: Dict[Tuple[str, ...], str],
         dirty: DirtySet,
         scc_lookup: Optional[Callable[[str], Optional["SccSplice"]]] = None,
     ):
@@ -1415,7 +1422,7 @@ class _IncrementalInference(RegionInference):
         self._prior_tms = prior_tms
 
         # splice whole SCCs or not at all: the nest is one fixed point
-        self._scc_keys = scc_splice_keys(graph, salts)
+        self._scc_keys = scc_keys
         self._splice_ok: Set[str] = set()
         self._entry_splice: Dict[Tuple[str, ...], SccSplice] = {}
         for scc in graph.method_sccs():
@@ -1485,6 +1492,7 @@ class _IncrementalInference(RegionInference):
         # the seed mapping is frozen; aliasing it avoids an O(classes) copy
         result.pristine_q = prior.pristine_q
         result.plan_salts = self._salts
+        result.class_digest = prior.class_digest
         reused: List[str] = []
         entry_min_pres: Dict[str, ConstraintAbstraction] = {}
         for scc in self._graph.method_sccs():
@@ -1531,7 +1539,7 @@ class _IncrementalInference(RegionInference):
                     self._minimize_pre(qn)
         self._assemble(result.target)
         result.reused_methods = tuple(sorted(reused))
-        result.scc_keys = dict(self._scc_keys)
+        result.scc_keys = self._scc_keys
         result.elapsed = time.perf_counter() - start
         self.result = result
         return result
@@ -1546,36 +1554,38 @@ def reinfer_program(
 ) -> InferenceResult:
     """Incrementally re-infer ``program`` against a prior result.
 
-    Diffs the new program's dependency graph against the prior one and
-    re-runs fixed points only for the dirty SCCs, splicing everything
-    else from ``prior``.  Falls back to a full :func:`infer_program` run
-    when the configs differ, the class structure changed, or the prior
-    result predates incremental support (no replay state).  The output
-    is byte-identical (under :func:`repro.lang.pretty.pretty_target`
-    renumbering) to a from-scratch inference of ``program``.
+    Builds the new program's dependency graph and splice keys once, takes
+    the dirty set from the prior result's keys (no graph of the prior
+    program is built), and re-runs fixed points only for the dirty SCCs,
+    splicing everything else from ``prior``.  Falls back to a full run
+    when the configs differ, the class shapes changed, or the prior
+    result lacks replay state (older results without ``raw_pres`` or
+    ``class_digest``).  The output is byte-identical (under
+    :func:`repro.lang.pretty.pretty_target` renumbering) to a
+    from-scratch inference of ``program``.
     """
     config = config or prior.config
     if (
         config != prior.config
         or not prior.raw_pres
         or not prior.pristine_q
+        or not prior.class_digest
     ):
         return RegionInference(program, config).infer()
     table = NormalTypeChecker(program).check()
-    new_graph = DependencyGraph(program, table)
-    old_graph = DependencyGraph(prior.table.program, prior.table)
+    if class_shape_digest(table) != prior.class_digest:
+        prepared = AnnotatedProgram.from_table(program, table)
+        return RegionInference(program, config, prepared=prepared).infer()
+    graph = DependencyGraph(program, table)
     if config.downcast is DowncastStrategy.PADDING:
         plan = DowncastAnalysis(program, table).build_plan()
     else:
         plan = PaddingPlan()
     salts = plan_salts(program, plan)
-    dirty = depgraph_diff(
-        old_graph, new_graph, old_salts=prior.plan_salts, new_salts=salts
-    )
-    if dirty.full:
-        return RegionInference(program, config).infer()
+    keys = scc_splice_keys(graph, salts)
+    dirty = diff_keys(prior.scc_keys, keys)
     return _IncrementalInference(
-        program, config, prior, table, new_graph, plan, salts, dirty,
+        program, config, prior, table, graph, plan, salts, keys, dirty,
         scc_lookup=scc_lookup,
     ).infer()
 

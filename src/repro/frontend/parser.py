@@ -18,7 +18,7 @@ from typing import Union
 
 from ..lang import ast as S
 from ..lang.ast import Pos
-from .lexer import LexError, Token, tokenize
+from .lexer import LexError, tokenize
 
 __all__ = [
     "ParseError",
@@ -29,6 +29,23 @@ __all__ = [
 ]
 
 _PRIM_TYPES = {"int": S.INT, "bool": S.BOOL, "boolean": S.BOOL, "void": S.VOID}
+
+#: binary operators by binding strength, loosest first; all associate left
+_BINOP_LEVELS = {
+    "||": 0,
+    "&&": 1,
+    "==": 2,
+    "!=": 2,
+    "<": 3,
+    "<=": 3,
+    ">": 3,
+    ">=": 3,
+    "+": 4,
+    "-": 4,
+    "*": 5,
+    "/": 5,
+    "%": 5,
+}
 
 #: tokens that may start an expression (used to disambiguate casts)
 _EXPR_START_KWS = {"new", "null", "this", "true", "false", "if"}
@@ -44,59 +61,93 @@ class ParseError(Exception):
 
 
 class Parser:
-    """A single-pass recursive-descent parser over a token list."""
+    """A single-pass recursive-descent parser over a token stream.
+
+    Tokens are addressed by index into the stream's parallel lists;
+    positions are computed only for the tokens that become AST nodes or
+    diagnostics.  Operator and keyword texts never occur as another
+    kind's text, so a text comparison alone identifies them.
+    """
 
     def __init__(self, source: str):
         self._tokens = tokenize(source)
+        self._kinds = self._tokens.kinds
+        self._texts = self._tokens.texts
+        self._eof = len(self._kinds) - 1
         self._i = 0
 
     # -- token helpers -----------------------------------------------------
-    def _peek(self, ahead: int = 0) -> Token:
-        j = min(self._i + ahead, len(self._tokens) - 1)
-        return self._tokens[j]
+    def _peek(self, ahead: int = 0) -> int:
+        """Index of the token ``ahead`` past the cursor (eof past the end)."""
+        j = self._i + ahead
+        return j if j < self._eof else self._eof
 
-    def _next(self) -> Token:
-        t = self._tokens[self._i]
-        if t.kind != "eof":
-            self._i += 1
-        return t
+    def _next(self) -> int:
+        j = self._i
+        if j < self._eof:
+            self._i = j + 1
+        return j
 
-    def _expect_op(self, op: str) -> Token:
-        t = self._next()
-        if not t.is_op(op):
-            raise ParseError(f"expected {op!r}, found {t}", t.pos)
-        return t
+    def _at(self, text: str, ahead: int = 0) -> bool:
+        """Is the token ``ahead`` past the cursor this operator or keyword?"""
+        return self._texts[self._peek(ahead)] == text
 
-    def _expect_kw(self, word: str) -> Token:
-        t = self._next()
-        if not t.is_kw(word):
-            raise ParseError(f"expected keyword {word!r}, found {t}", t.pos)
-        return t
+    def _kind(self, ahead: int = 0) -> str:
+        return self._kinds[self._peek(ahead)]
 
-    def _expect_id(self) -> Token:
-        t = self._next()
-        if t.kind != "id":
-            raise ParseError(f"expected identifier, found {t}", t.pos)
-        return t
+    def _text(self, ahead: int = 0) -> str:
+        return self._texts[self._peek(ahead)]
 
-    def _accept_op(self, op: str) -> bool:
-        if self._peek().is_op(op):
+    def _pos(self, j: int) -> Pos:
+        return self._tokens.pos(j)
+
+    def _show(self, j: int) -> str:
+        return self._texts[j] if j < self._eof else "<eof>"
+
+    def _error(self, message: str, j: int) -> "ParseError":
+        return ParseError(message, self._pos(j))
+
+    def _expect_op(self, op: str) -> int:
+        j = self._next()
+        if self._texts[j] != op:
+            raise self._error(f"expected {op!r}, found {self._show(j)}", j)
+        return j
+
+    def _expect_kw(self, word: str) -> int:
+        j = self._next()
+        if self._texts[j] != word:
+            raise self._error(
+                f"expected keyword {word!r}, found {self._show(j)}", j
+            )
+        return j
+
+    def _expect_id(self) -> int:
+        j = self._next()
+        if self._kinds[j] != "id":
+            raise self._error(f"expected identifier, found {self._show(j)}", j)
+        return j
+
+    def _accept(self, text: str) -> bool:
+        """Consume the next token if it is this operator or keyword."""
+        if self._at(text):
             self._next()
             return True
         return False
 
     # -- types -----------------------------------------------------------------
     def _at_type(self, ahead: int = 0) -> bool:
-        t = self._peek(ahead)
-        return (t.kind == "kw" and t.text in _PRIM_TYPES) or t.kind == "id"
+        j = self._peek(ahead)
+        kind = self._kinds[j]
+        return (kind == "kw" and self._texts[j] in _PRIM_TYPES) or kind == "id"
 
     def _parse_type(self) -> S.Type:
-        t = self._next()
-        if t.kind == "kw" and t.text in _PRIM_TYPES:
-            return _PRIM_TYPES[t.text]
-        if t.kind == "id":
-            return S.ClassType(t.text)
-        raise ParseError(f"expected a type, found {t}", t.pos)
+        j = self._next()
+        kind, text = self._kinds[j], self._texts[j]
+        if kind == "kw" and text in _PRIM_TYPES:
+            return _PRIM_TYPES[text]
+        if kind == "id":
+            return S.ClassType(text)
+        raise self._error(f"expected a type, found {self._show(j)}", j)
 
     # -- program -----------------------------------------------------------------
     def parse_program(self, errors: Optional[List[ParseError]] = None) -> S.Program:
@@ -110,9 +161,9 @@ class Parser:
         """
         classes: List[S.ClassDecl] = []
         statics: List[S.MethodDecl] = []
-        while self._peek().kind != "eof":
+        while self._i < self._eof:
             try:
-                if self._peek().is_kw("class"):
+                if self._at("class"):
                     classes.append(self._parse_class())
                 else:
                     statics.append(self._parse_method(static=True))
@@ -130,52 +181,50 @@ class Parser:
         plausible top-level method header after a balanced close brace.
         """
         depth = 0
-        while self._peek().kind != "eof":
-            t = self._peek()
-            if t.is_op("{"):
+        while self._i < self._eof:
+            text = self._texts[self._i]
+            if text == "{":
                 depth += 1
-            elif t.is_op("}"):
+            elif text == "}":
                 depth = max(0, depth - 1)
                 self._next()
                 if depth == 0:
                     return
                 continue
-            elif depth == 0 and t.is_kw("class"):
+            elif depth == 0 and text == "class":
                 return
             self._next()
 
     def _parse_class(self) -> S.ClassDecl:
-        pos = self._expect_kw("class").pos
-        name = self._expect_id().text
+        pos = self._pos(self._expect_kw("class"))
+        name = self._texts[self._expect_id()]
         super_name = "Object"
-        if self._peek().is_kw("extends"):
-            self._next()
-            super_name = self._expect_id().text
+        if self._accept("extends"):
+            super_name = self._texts[self._expect_id()]
         self._expect_op("{")
         fields: List[S.FieldDecl] = []
         methods: List[S.MethodDecl] = []
-        while not self._peek().is_op("}"):
+        while not self._at("}"):
             # member: type ID ';' (field)  vs  type ID '(' (method)
-            member_pos = self._peek().pos
+            member_pos = self._pos(self._peek())
             mtype = self._parse_type()
-            mname = self._expect_id().text
-            if self._accept_op(";"):
+            mname = self._texts[self._expect_id()]
+            if self._accept(";"):
                 fields.append(S.FieldDecl(mtype, mname, pos=member_pos))
-            elif self._peek().is_op("("):
+            elif self._at("("):
                 methods.append(self._finish_method(mtype, mname, member_pos, static=False))
             else:
-                raise ParseError(
-                    f"expected ';' or '(' after member {mname!r}", self._peek().pos
+                raise self._error(
+                    f"expected ';' or '(' after member {mname!r}", self._peek()
                 )
         self._expect_op("}")
         return S.ClassDecl(name=name, super_name=super_name, fields=fields, methods=methods, pos=pos)
 
     def _parse_method(self, static: bool) -> S.MethodDecl:
-        if self._peek().is_kw("static"):
-            self._next()
-        pos = self._peek().pos
+        self._accept("static")
+        pos = self._pos(self._peek())
         ret = self._parse_type()
-        name = self._expect_id().text
+        name = self._texts[self._expect_id()]
         return self._finish_method(ret, name, pos, static=static)
 
     def _finish_method(
@@ -183,12 +232,12 @@ class Parser:
     ) -> S.MethodDecl:
         self._expect_op("(")
         params: List[S.Param] = []
-        if not self._peek().is_op(")"):
+        if not self._at(")"):
             while True:
                 ptype = self._parse_type()
-                pname = self._expect_id().text
+                pname = self._texts[self._expect_id()]
                 params.append(S.Param(ptype, pname))
-                if not self._accept_op(","):
+                if not self._accept(","):
                     break
         self._expect_op(")")
         body = self._parse_block()
@@ -198,12 +247,12 @@ class Parser:
 
     # -- blocks and statements --------------------------------------------------
     def _parse_block(self) -> S.Block:
-        pos = self._expect_op("{").pos
+        pos = self._pos(self._expect_op("{"))
         stmts: List[S.Stmt] = []
         result: Optional[S.Expr] = None
-        while not self._peek().is_op("}"):
+        while not self._at("}"):
             if result is not None:
-                raise ParseError("result expression must end the block", self._peek().pos)
+                raise self._error("result expression must end the block", self._peek())
             item = self._parse_block_item()
             if isinstance(item, S.Stmt):
                 stmts.append(item)
@@ -216,69 +265,69 @@ class Parser:
         """Lookahead: ``type ID`` followed by ``=`` or ``;``."""
         if not self._at_type(0):
             return False
-        if self._peek(1).kind != "id":
+        if self._kind(1) != "id":
             return False
-        after = self._peek(2)
-        return after.is_op("=") or after.is_op(";")
+        return self._at("=", 2) or self._at(";", 2)
 
     def _parse_block_item(self):
         """A statement, or the block's trailing result expression."""
-        t = self._peek()
-        if t.is_kw("return"):
+        j = self._peek()
+        text = self._texts[j]
+        if text == "return":
             self._next()
-            if self._accept_op(";"):
-                return S.Block(stmts=[], result=None, pos=t.pos)  # `return;` == void result
+            if self._accept(";"):
+                return S.Block(stmts=[], result=None, pos=self._pos(j))  # `return;` == void result
             e = self.parse_expr()
             self._expect_op(";")
             return e  # becomes the block result
-        if t.is_kw("while"):
+        if text == "while":
             self._next()
             self._expect_op("(")
             cond = self.parse_expr()
             self._expect_op(")")
             body = self._parse_block()
-            return S.ExprStmt(S.While(cond, body, pos=t.pos))
-        if t.is_kw("if") :
+            return S.ExprStmt(S.While(cond, body, pos=self._pos(j)))
+        if text == "if":
             # statement-if unless it turns out to be the block result; we
             # parse as expression-if when an `else` is present and the next
             # token closes the block.
             return self._parse_if_item()
         if self._at_local_decl():
-            pos = self._peek().pos
+            pos = self._pos(self._peek())
             dtype = self._parse_type()
-            name = self._expect_id().text
+            name = self._texts[self._expect_id()]
             init: Optional[S.Expr] = None
-            if self._accept_op("="):
+            if self._accept("="):
                 init = self.parse_expr()
             self._expect_op(";")
             return S.LocalDecl(dtype, name, init, pos=pos)
         e = self.parse_expr()
-        if self._accept_op(";"):
+        if self._accept(";"):
             return S.ExprStmt(e)
-        if self._peek().is_op("}"):
+        if self._at("}"):
             return e  # trailing result expression
-        raise ParseError(f"expected ';' or '}}', found {self._peek()}", self._peek().pos)
+        j = self._peek()
+        raise self._error(f"expected ';' or '}}', found {self._show(j)}", j)
 
     def _parse_if_item(self):
-        pos = self._expect_kw("if").pos
+        pos = self._pos(self._expect_kw("if"))
         self._expect_op("(")
         cond = self.parse_expr()
         self._expect_op(")")
         then = self._parse_stmt_arm()
         els: S.Expr = S.Block(stmts=[], result=None)
-        if self._peek().is_kw("else"):
-            self._next()
+        if self._accept("else"):
             els = self._parse_stmt_arm()
         node = S.If(cond, then, els, pos=pos)
-        if self._peek().is_op("}"):
+        if self._at("}"):
             return node  # if-expression as the block result
         return S.ExprStmt(node)
 
     def _parse_stmt_arm(self) -> S.Expr:
         """An arm of a statement-level if: a block or a single statement."""
-        if self._peek().is_op("{"):
+        if self._at("{"):
             return self._parse_block()
-        if self._peek().is_kw("if"):
+        if self._at("if"):
             item = self._parse_if_item()
             return item.expr if isinstance(item, S.ExprStmt) else item
         e = self.parse_expr()
@@ -290,107 +339,104 @@ class Parser:
         return self._parse_assign()
 
     def _parse_assign(self) -> S.Expr:
-        lhs = self._parse_or()
-        if self._peek().is_op("="):
-            pos = self._next().pos
+        lhs = self._parse_binary()
+        if self._at("="):
+            pos = self._pos(self._next())
             if not isinstance(lhs, (S.Var, S.FieldRead)):
                 raise ParseError("assignment target must be a variable or field", pos)
             rhs = self._parse_assign()
             return S.Assign(lhs, rhs, pos=pos)
         return lhs
 
-    def _parse_binop_chain(self, ops: Tuple[str, ...], sub) -> S.Expr:
-        left = sub()
-        while self._peek().kind == "op" and self._peek().text in ops:
-            op = self._next()
-            right = sub()
-            left = S.Binop(op.text, left, right, pos=op.pos)
-        return left
-
-    def _parse_or(self) -> S.Expr:
-        return self._parse_binop_chain(("||",), self._parse_and)
-
-    def _parse_and(self) -> S.Expr:
-        return self._parse_binop_chain(("&&",), self._parse_equality)
-
-    def _parse_equality(self) -> S.Expr:
-        return self._parse_binop_chain(("==", "!="), self._parse_relational)
-
-    def _parse_relational(self) -> S.Expr:
-        return self._parse_binop_chain(("<", "<=", ">", ">="), self._parse_additive)
-
-    def _parse_additive(self) -> S.Expr:
-        return self._parse_binop_chain(("+", "-"), self._parse_multiplicative)
-
-    def _parse_multiplicative(self) -> S.Expr:
-        return self._parse_binop_chain(("*", "/", "%"), self._parse_unary)
+    def _parse_binary(self, level: int = 0) -> S.Expr:
+        """A left-associative binary chain of operators at ``level`` or
+        tighter (precedence climbing over :data:`_BINOP_LEVELS`)."""
+        left = self._parse_unary()
+        while True:
+            j = self._peek()
+            op = self._texts[j]
+            prec = _BINOP_LEVELS.get(op)
+            if prec is None or prec < level:
+                return left
+            self._next()
+            right = self._parse_binary(prec + 1)
+            left = S.Binop(op, left, right, pos=self._pos(j))
 
     def _parse_unary(self) -> S.Expr:
-        t = self._peek()
-        if t.is_op("!") or t.is_op("-"):
+        j = self._peek()
+        text = self._texts[j]
+        if text == "!" or text == "-":
             self._next()
             operand = self._parse_unary()
-            return S.Unop(t.text, operand, pos=t.pos)
+            return S.Unop(text, operand, pos=self._pos(j))
         return self._parse_postfix()
 
     def _parse_postfix(self) -> S.Expr:
         e = self._parse_primary()
-        while self._peek().is_op("."):
-            self._next()
-            name = self._expect_id()
-            if self._peek().is_op("("):
+        while self._accept("."):
+            j = self._expect_id()
+            name = self._texts[j]
+            if self._at("("):
                 args = self._parse_args()
-                e = S.Call(e, name.text, args, pos=name.pos)
+                e = S.Call(e, name, args, pos=self._pos(j))
             else:
-                e = S.FieldRead(e, name.text, pos=name.pos)
+                e = S.FieldRead(e, name, pos=self._pos(j))
         return e
 
     def _parse_args(self) -> List[S.Expr]:
         self._expect_op("(")
         args: List[S.Expr] = []
-        if not self._peek().is_op(")"):
+        if not self._at(")"):
             while True:
                 args.append(self.parse_expr())
-                if not self._accept_op(","):
+                if not self._accept(","):
                     break
         self._expect_op(")")
         return args
 
     def _looks_like_cast(self) -> bool:
         """At ``(``: is this ``(Type) expr`` rather than ``(expr)``?"""
-        t1, t2, t3 = self._peek(1), self._peek(2), self._peek(3)
-        if t1.kind == "kw" and t1.text in _PRIM_TYPES:
-            return t2.is_op(")")
-        if t1.kind == "id" and t2.is_op(")"):
+        k1, t1 = self._kind(1), self._text(1)
+        if k1 == "kw" and t1 in _PRIM_TYPES:
+            return self._at(")", 2)
+        if k1 == "id" and self._at(")", 2):
             # `(Name)` followed by something that can start an expression
-            if t3.kind in ("id", "int"):
+            k3, t3 = self._kind(3), self._text(3)
+            if k3 in ("id", "int"):
                 return True
-            if t3.kind == "kw" and t3.text in _EXPR_START_KWS:
+            if k3 == "kw" and t3 in _EXPR_START_KWS:
                 return True
-            if t3.is_op("(") or t3.is_op("!"):
+            if t3 == "(" or t3 == "!":
                 return True
         return False
 
     def _parse_primary(self) -> S.Expr:
-        t = self._peek()
-        if t.kind == "int":
+        j = self._peek()
+        kind, text = self._kinds[j], self._texts[j]
+        if kind == "int":
             self._next()
-            return S.IntLit(int(t.text), pos=t.pos)
-        if t.is_kw("true") or t.is_kw("false"):
+            return S.IntLit(int(text), pos=self._pos(j))
+        if kind == "id":
             self._next()
-            return S.BoolLit(t.text == "true", pos=t.pos)
-        if t.is_kw("null"):
+            if self._at("("):
+                args = self._parse_args()
+                return S.Call(None, text, args, pos=self._pos(j))
+            return S.Var(text, pos=self._pos(j))
+        if text == "true" or text == "false":
             self._next()
-            return S.Null(None, pos=t.pos)
-        if t.is_kw("this"):
+            return S.BoolLit(text == "true", pos=self._pos(j))
+        if text == "null":
             self._next()
-            return S.Var(S.THIS, pos=t.pos)
-        if t.is_kw("new"):
+            return S.Null(None, pos=self._pos(j))
+        if text == "this":
             self._next()
-            cname = self._expect_id().text
+            return S.Var(S.THIS, pos=self._pos(j))
+        if text == "new":
+            self._next()
+            cname = self._texts[self._expect_id()]
             args = self._parse_args()
-            return S.New(cname, args, pos=t.pos)
-        if t.is_kw("if"):
+            return S.New(cname, args, pos=self._pos(j))
+        if text == "if":
             self._next()
             self._expect_op("(")
             cond = self.parse_expr()
@@ -398,10 +444,10 @@ class Parser:
             then = self._parse_expr_arm()
             self._expect_kw("else")
             els = self._parse_expr_arm()
-            return S.If(cond, then, els, pos=t.pos)
-        if t.is_op("{"):
+            return S.If(cond, then, els, pos=self._pos(j))
+        if text == "{":
             return self._parse_block()
-        if t.is_op("("):
+        if text == "(":
             if self._looks_like_cast():
                 self._next()
                 ctype = self._parse_type()
@@ -409,23 +455,17 @@ class Parser:
                 target = self._parse_unary()
                 if isinstance(ctype, S.ClassType):
                     if isinstance(target, S.Null):
-                        return S.Null(ctype.name, pos=t.pos)  # `(cn) null`
-                    return S.Cast(ctype.name, target, pos=t.pos)
-                raise ParseError("casts to primitive types are not supported", t.pos)
+                        return S.Null(ctype.name, pos=self._pos(j))  # `(cn) null`
+                    return S.Cast(ctype.name, target, pos=self._pos(j))
+                raise self._error("casts to primitive types are not supported", j)
             self._next()
             e = self.parse_expr()
             self._expect_op(")")
             return e
-        if t.kind == "id":
-            self._next()
-            if self._peek().is_op("("):
-                args = self._parse_args()
-                return S.Call(None, t.text, args, pos=t.pos)
-            return S.Var(t.text, pos=t.pos)
-        raise ParseError(f"unexpected token {t}", t.pos)
+        raise self._error(f"unexpected token {self._show(j)}", j)
 
     def _parse_expr_arm(self) -> S.Expr:
-        if self._peek().is_op("{"):
+        if self._at("{"):
             return self._parse_block()
         return self.parse_expr()
 
@@ -461,6 +501,6 @@ def parse_expr(source: str) -> S.Expr:
     parser = Parser(source)
     e = parser.parse_expr()
     tail = parser._peek()
-    if tail.kind != "eof":
-        raise ParseError(f"trailing input {tail}", tail.pos)
+    if tail != parser._eof:
+        raise parser._error(f"trailing input {parser._show(tail)}", tail)
     return e

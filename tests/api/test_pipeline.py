@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import STAGES, Pipeline, StageFailure, Severity
+from repro.api import STAGES, Pipeline, Session, StageFailure, Severity
 from repro.api.diagnostics import DiagnosticCode
 from repro.core import (
     AnnotatedProgram,
@@ -162,6 +162,25 @@ class TestCollectMode(object):
         assert strict.diagnostics[0].code == DiagnosticCode.LEX
         assert tolerant.diagnostics[0].code == DiagnosticCode.LEX
         assert tolerant.diagnostics[0].span == strict.diagnostics[0].span
+
+    @pytest.mark.parametrize("source", ["int f() { ² }", "int f() { 1٣ }"])
+    def test_non_ascii_digit_is_a_lex_diagnostic(self, source):
+        # str.isdigit() accepts these; int() does not, and used to raise
+        # an uncaught ValueError out of the parser
+        for collect in (False, True):
+            pipe = Pipeline(source, collect=collect)
+            result = pipe.infer()
+            assert not result.ok
+            assert pipe.parse().diagnostics[0].code == DiagnosticCode.LEX
+            assert pipe.parse().diagnostics[0].stage == "parse"
+
+    def test_non_ascii_digit_through_session(self):
+        with pytest.raises(StageFailure) as exc:
+            Session().infer("int f() { ² }")
+        assert exc.value.stage == "parse"
+        with pytest.raises(StageFailure) as exc:
+            Session().reinfer("int f() { ² }")
+        assert exc.value.stage == "parse"
 
     def test_collect_on_valid_source_is_clean(self):
         pipe = Pipeline(GOOD, collect=True)

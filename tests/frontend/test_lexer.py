@@ -1,5 +1,8 @@
 """Unit tests for the Core-Java lexer."""
 
+import sys
+import uuid
+
 import pytest
 
 from repro.frontend.lexer import LexError, Token, tokenize
@@ -93,3 +96,20 @@ class TestTokenHelpers:
         t = tokenize("<=")[0]
         assert t.is_op("<=")
         assert not t.is_op("<")
+
+
+class TestTextSharing:
+    def test_repeated_name_shares_one_string(self):
+        texts = tokenize("foo = foo + foo;").texts
+        assert texts[0] == "foo"
+        assert texts[0] is texts[2] is texts[4]
+
+    def test_names_are_not_interned_process_wide(self):
+        # interned strings can outlive the program text (CPython 3.12 never
+        # frees them), so lexing client text must not intern its names
+        name = "fresh_" + uuid.uuid4().hex
+        tokens = tokenize(f"int {name} = 1;")
+        assert tokens.texts[1] == name
+        probe = "".join(["fresh_", name[len("fresh_"):]])
+        # with no interned copy of the name, ``probe`` itself becomes it
+        assert sys.intern(probe) is probe

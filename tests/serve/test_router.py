@@ -110,6 +110,13 @@ class TestInfer(object):
         assert payload["diagnostics"]
         assert payload["diagnostics"][0]["stage"] == "parse"
 
+    @pytest.mark.parametrize("path", ["/v1/infer", "/v1/check"])
+    def test_non_ascii_digit_is_4xx_not_500(self, router, path):
+        status, payload, _ = _post(router, path, {"source": "int f() { ² }"})
+        assert 400 <= status < 500
+        assert "error" in payload
+        assert payload["diagnostics"][0]["stage"] == "parse"
+
 
 class TestCheckAndRun(object):
     def test_check_verifies(self, router):

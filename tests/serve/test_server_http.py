@@ -8,6 +8,7 @@ rest use the thread backend to stay fast on one core.
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -130,6 +131,71 @@ class TestRoundTrips(object):
             server.close()
         assert status == 429
         assert int(response.headers["Retry-After"]) >= 1
+
+
+class _CountingWriter(object):
+    """Wraps a handler's ``wfile`` and records every write."""
+
+    def __init__(self, raw, writes):
+        self._raw = raw
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+class TestOneSendPerReply(object):
+    """Status line, headers and body leave in one write.
+
+    Two writes per reply (headers, then body) let Nagle's algorithm hold
+    the body until the client's delayed ACK, stalling every back-to-back
+    keep-alive reply by ~40 ms.
+    """
+
+    def test_every_reply_is_one_write(self, daemon, monkeypatch):
+        server, conn = daemon
+        writes = []
+        handler = server.RequestHandlerClass
+        setup = handler.setup
+
+        def counting_setup(self):
+            setup(self)
+            self.wfile = _CountingWriter(self.wfile, writes)
+
+        monkeypatch.setattr(handler, "setup", counting_setup)
+        conn.request("GET", "/healthz")
+        conn.getresponse().read()
+        replies = [
+            _post(conn, "/v1/infer", {"source": PAIR_SOURCE}),
+            _post(conn, "/v1/infer", {"source": "class X {"}),
+            _post(conn, "/v1/nope", {}),
+        ]
+        assert [status for status, _, _ in replies] == [200, 422, 404]
+        assert len(writes) == 4
+        for data, (_, payload, _) in zip(writes[1:], replies):
+            assert data.startswith(b"HTTP/1.1 ")
+            assert data.endswith(json.dumps(payload).encode())
+            head = data.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+            names = {line.split(b":", 1)[0] for line in head[1:]}
+            assert names >= {
+                b"Server", b"Date", b"Content-Type", b"Content-Length"
+            }
+
+    def test_http_0_9_request_gets_the_bare_body(self, daemon):
+        server, _ = daemon
+        with socket.create_connection(("127.0.0.1", server.port), 30) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        assert json.loads(reply)["status"] == "ok"
 
 
 class TestBodyLimits(object):
